@@ -30,8 +30,8 @@ package core
 // only by CopySet, CloneDelta and the area-index patch, none of which read
 // those fields.
 //
-// A one-element batch returns its sole delta unchanged, so the
-// single-mutation publication path is byte-for-byte the pre-batching one.
+// A one-element batch (every synchronous Insert or Delete) returns its
+// sole delta unchanged.
 func MergeDeltas(ds []*Delta) *Delta {
 	if len(ds) == 1 {
 		return ds[0]

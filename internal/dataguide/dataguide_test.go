@@ -146,9 +146,9 @@ func TestGuideCompression(t *testing.T) {
 }
 
 // TestGuideBatchFold: a batch fold over N updates produces exactly the
-// guide that N chained WithUpdate calls produce, the base guide is left
-// untouched, and an inconsistent update breaks the whole batch (nil
-// result, matching the nil-WithUpdate rebuild contract).
+// guide Build derives from the document after the same N edits, the base
+// guide is left untouched, and an inconsistent update breaks the whole
+// batch (nil result; callers rebuild with Build).
 func TestGuideBatchFold(t *testing.T) {
 	doc, err := xmltree.ParseString(
 		`<a><b><c/><c/></b><b><d/></b><e><c/></e></a>`)
@@ -157,27 +157,34 @@ func TestGuideBatchFold(t *testing.T) {
 	}
 	base := dataguide.Build(doc)
 	basePaths := strings.Join(base.Paths(), ",")
+	baseOutline := base.String()
 
-	sub1, _ := xmltree.ParseString(`<f><c/></f>`)
-	sub2, _ := xmltree.ParseString(`<c/>`)
+	a := doc.DocumentElement()
+	b, e := a.Children[0], a.Children[2]
+	// Each edit mutates the tree and returns the subtree it inserted or
+	// removed, which the fold walks at that moment (as publication does).
 	updates := []struct {
 		prefix []string
-		sub    *xmltree.Node
 		delta  int
+		edit   func() *xmltree.Node
 	}{
-		{[]string{"a", "b"}, sub1.DocumentElement(), +1}, // new paths a/b/f, a/b/f/c
-		{[]string{"a", "e"}, sub2.DocumentElement(), -1}, // prunes a/e/c
-		{[]string{"a"}, sub2.DocumentElement(), +1},      // new path a/c
+		{[]string{"a", "b"}, +1, func() *xmltree.Node { // new paths a/b/f, a/b/f/c
+			f := xmltree.NewElement("f")
+			f.AppendChild(xmltree.NewElement("c"))
+			b.AppendChild(f)
+			return f
+		}},
+		{[]string{"a", "e"}, -1, func() *xmltree.Node { return e.RemoveChild(0) }}, // prunes a/e/c
+		{[]string{"a"}, +1, func() *xmltree.Node { // new path a/c
+			c := xmltree.NewElement("c")
+			a.AppendChild(c)
+			return c
+		}},
 	}
 
-	chained := base
 	fold := base.Begin()
 	for _, u := range updates {
-		chained = chained.WithUpdate(u.prefix, u.sub, u.delta)
-		if chained == nil {
-			t.Fatal("WithUpdate chain broke on a consistent update")
-		}
-		if !fold.Update(u.prefix, u.sub, u.delta) {
+		if !fold.Update(u.prefix, u.edit(), u.delta) {
 			t.Fatal("Batch.Update rejected a consistent update")
 		}
 	}
@@ -185,30 +192,26 @@ func TestGuideBatchFold(t *testing.T) {
 	if folded == nil {
 		t.Fatal("Batch.Guide returned nil for a consistent batch")
 	}
-	if got, want := strings.Join(folded.Paths(), ","), strings.Join(chained.Paths(), ","); got != want {
-		t.Fatalf("folded paths %q != chained paths %q", got, want)
+	rebuilt := dataguide.Build(doc)
+	if got, want := folded.String(), rebuilt.String(); got != want {
+		t.Fatalf("folded guide:\n%s\nBuild over the edited document:\n%s", got, want)
 	}
-	for _, p := range [][]string{{"a", "b", "f", "c"}, {"a", "c"}, {"a", "e", "c"}, {"a", "b", "c"}} {
-		if folded.Count(p...) != chained.Count(p...) {
-			t.Fatalf("Count(%v): folded %d != chained %d", p, folded.Count(p...), chained.Count(p...))
-		}
+	if folded.Size() != rebuilt.Size() {
+		t.Fatalf("Size: folded %d != rebuilt %d", folded.Size(), rebuilt.Size())
 	}
-	if folded.Size() != chained.Size() {
-		t.Fatalf("Size: folded %d != chained %d", folded.Size(), chained.Size())
-	}
-	if got := strings.Join(base.Paths(), ","); got != basePaths {
+	if got := strings.Join(base.Paths(), ","); got != basePaths || base.String() != baseOutline {
 		t.Fatalf("batch fold mutated the base guide: %q != %q", got, basePaths)
 	}
 
 	// Removing a path the guide never recorded breaks the batch as a whole.
 	bad := base.Begin()
-	if !bad.Update([]string{"a"}, sub2.DocumentElement(), +1) {
+	if !bad.Update([]string{"a"}, xmltree.NewElement("c"), +1) {
 		t.Fatal("setup update rejected")
 	}
 	if bad.Update([]string{"a", "b"}, xmltree.NewElement("nope"), -1) {
 		t.Fatal("inconsistent removal accepted")
 	}
-	if bad.Update([]string{"a"}, sub2.DocumentElement(), +1) {
+	if bad.Update([]string{"a"}, xmltree.NewElement("c"), +1) {
 		t.Fatal("broken batch accepted a further update")
 	}
 	if bad.Guide() != nil {

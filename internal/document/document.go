@@ -20,7 +20,8 @@
 //     the affected UID-local area (UpdateStats reports the scope), so
 //     identifiers outside the update area survive across epochs. After the
 //     areas are rebuilt, the writer publishes the next epoch with one
-//     atomic pointer store.
+//     atomic pointer store. Every write takes the same path: a synchronous
+//     Insert or Delete is a group-commit batch of one (group.go).
 //
 // A reader holding an old epoch keeps querying it consistently — queries
 // racing updates observe either the pre- or post-update document, never a
@@ -33,7 +34,7 @@
 // ancestors up to the document node (xmltree.CloneAlong), and the next
 // epoch structurally shares every untouched subtree, posting list, guide
 // trie and K row with the previous epoch (core.CloneDelta,
-// index.ApplyDelta, dataguide.WithUpdate). Publication cost therefore
+// index.ApplyDeltaStats, dataguide.Batch). Publication cost therefore
 // scales with the area budget, not the document size. Two invariants make
 // the sharing safe:
 //
@@ -47,7 +48,8 @@
 //     consistent.
 //
 // Updates that heal a local-index overflow by re-partitioning (reported as
-// FullRebuild) fall back to a full clone publication.
+// FullRebuild) publish a full clone, as does a failed incremental assembly
+// (counted in doc.publish_fallback).
 //
 // # Write-failure atomicity
 //
@@ -258,7 +260,7 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 		})
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return d, d.publishFullLocked(d.nodeCount, d.depthSum)
+		return d, d.publishFullLocked(d.nodeCount, d.depthSum, publishFull)
 	}
 	reg, ok := scheme.Lookup(name)
 	if !ok {
@@ -320,42 +322,7 @@ func (d *Document) publishGenericLocked(nodes, depths int) error {
 		nodes:      nodes,
 	})
 	d.nodeCount, d.depthSum = nodes, depths
-	d.noteEpochLocked(true, index.DeltaStats{}, time.Since(start))
-	return nil
-}
-
-// publishLocked installs the next epoch after a successful update. With an
-// area-confined delta it copies only the dirty area and its root spine,
-// sharing everything else with the previous epoch; a full-rebuild delta
-// (overflow healing) falls back to a full clone. nodes and depths are the
-// counter values the new epoch should carry (see publishGenericLocked).
-// Callers hold d.mu.
-func (d *Document) publishLocked(delta *core.Delta, nodes, depths int) error {
-	prev := d.cur.Load()
-	if prev == nil || delta == nil || delta.Full {
-		return d.publishFullLocked(nodes, depths)
-	}
-	var start time.Time
-	if d.dm != nil {
-		start = time.Now()
-	}
-	snap, st, err := d.assembleDeltaLocked(prev, delta, nodes, depths)
-	if err != nil {
-		// Incremental assembly fails only on an internal invariant
-		// violation; a full publication always recovers a consistent epoch.
-		return d.publishFullLocked(nodes, depths)
-	}
-	d.epoch++
-	snap.epoch = d.epoch
-	d.cur.Store(snap)
-	d.nodeCount, d.depthSum = nodes, depths
-	// In out-of-core mode the payload table follows the delta: the new
-	// epoch's index already shares paged lists for untouched names
-	// (ApplyDelta re-encodes touched ones resident), and the node rows move
-	// with their relabels. Applied after the epoch is installed — the store
-	// serves the latest epoch.
-	d.maintainPayloadsLocked(delta)
-	d.noteEpochLocked(false, st, time.Since(start))
+	d.noteEpochLocked(publishFull, index.DeltaStats{}, time.Since(start))
 	return nil
 }
 
@@ -365,12 +332,13 @@ func (d *Document) publishLocked(delta *core.Delta, nodes, depths int) error {
 // one CloneAlong, one CloneDelta, one index patch, one guide swap — covers
 // every mutation. guide is the batch's eagerly folded DataGuide (nil when
 // a fold reported an inconsistency; assembly then rebuilds it from the
-// master). A batch containing any full-rebuild delta falls back to a full
-// clone, exactly like the single-mutation path. Callers hold d.mu.
+// master). A synchronous Insert or Delete is a batch of one. A batch
+// containing any full-rebuild delta publishes a full clone. Callers hold
+// d.mu.
 func (d *Document) publishBatchLocked(prev *Snapshot, deltas []*core.Delta, guide *dataguide.Guide, nodes, depths int) error {
 	merged := core.MergeDeltas(deltas)
 	if prev == nil || merged == nil || merged.Full {
-		return d.publishFullLocked(nodes, depths)
+		return d.publishFullLocked(nodes, depths, publishFull)
 	}
 	var start time.Time
 	if d.dm != nil {
@@ -379,8 +347,9 @@ func (d *Document) publishBatchLocked(prev *Snapshot, deltas []*core.Delta, guid
 	snap, st, err := d.assembleBatchLocked(prev, deltas, merged, guide, nodes, depths)
 	if err != nil {
 		// Incremental assembly fails only on an internal invariant
-		// violation; a full publication always recovers a consistent epoch.
-		return d.publishFullLocked(nodes, depths)
+		// violation; a full publication always recovers a consistent epoch,
+		// counted apart (doc.publish_fallback) so the violation shows.
+		return d.publishFullLocked(nodes, depths, publishFallback)
 	}
 	d.epoch++
 	snap.epoch = d.epoch
@@ -392,13 +361,16 @@ func (d *Document) publishBatchLocked(prev *Snapshot, deltas []*core.Delta, guid
 	for _, delta := range deltas {
 		d.maintainPayloadsLocked(delta)
 	}
-	d.noteEpochLocked(false, st, time.Since(start))
+	d.noteEpochLocked(publishIncremental, st, time.Since(start))
 	return nil
 }
 
-// assembleBatchLocked is assembleDeltaLocked over a merged batch scope:
-// tree and numbering derive from the merged delta, the index patch and the
-// master→epoch bookkeeping from the per-mutation deltas. Callers hold d.mu.
+// assembleBatchLocked builds the next epoch incrementally from the previous
+// one: tree and numbering derive from the merged delta, the index patch and
+// the master→epoch bookkeeping from the per-mutation deltas. nodes and
+// depths are the planner statistics of the epoch being assembled, passed
+// explicitly because the document's own counters are not committed until
+// the epoch is installed. Callers hold d.mu.
 func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, merged *core.Delta, guide *dataguide.Guide, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
 	copySet := d.num.CopySet(merged)
 	tree, copies, err := d.master.CloneAlong(copySet, d.m2e)
@@ -462,9 +434,6 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, mer
 // (the node was detached before publication); their removal entries filter
 // nothing and are harmless.
 func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas []*core.Delta) (*index.NameIndex, index.DeltaStats, error) {
-	if len(deltas) == 1 {
-		return d.applyIndexDelta(prev, num, deltas[0])
-	}
 	// Elements inserted by this batch and still attached: their relabels
 	// and drops are batch-internal, not prev-epoch edits.
 	insertedNodes := make(map[*xmltree.Node]bool)
@@ -531,9 +500,10 @@ func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas [
 
 // publishFullLocked clones the master tree, re-points a copy of the
 // numbering at the clone and atomically installs the bundle as the next
-// epoch. Counter commit follows the publishGenericLocked rule. Callers
-// hold d.mu.
-func (d *Document) publishFullLocked(nodes, depths int) error {
+// epoch. Counter commit follows the publishGenericLocked rule; kind
+// (publishFull or publishFallback) picks the counter it is recorded under.
+// Callers hold d.mu.
+func (d *Document) publishFullLocked(nodes, depths int, kind publishKind) error {
 	var start time.Time
 	if d.dm != nil {
 		start = time.Now()
@@ -567,119 +537,8 @@ func (d *Document) publishFullLocked(nodes, depths int) error {
 	snap.epoch = d.epoch
 	d.cur.Store(snap)
 	d.nodeCount, d.depthSum = nodes, depths
-	d.noteEpochLocked(true, index.DeltaStats{}, time.Since(start))
+	d.noteEpochLocked(kind, index.DeltaStats{}, time.Since(start))
 	return nil
-}
-
-// assembleDeltaLocked builds the next epoch incrementally from the
-// previous one and the update's delta. nodes and depths are the planner
-// statistics of the epoch being assembled, passed explicitly because the
-// document's own counters are not committed until the epoch is installed.
-// Callers hold d.mu.
-func (d *Document) assembleDeltaLocked(prev *Snapshot, delta *core.Delta, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
-	copySet := d.num.CopySet(delta)
-	tree, copies, err := d.master.CloneAlong(copySet, d.m2e)
-	if err != nil {
-		return nil, index.DeltaStats{}, err
-	}
-	num, err := d.num.CloneDelta(prev.num, delta, copies, d.m2e)
-	if err != nil {
-		return nil, index.DeltaStats{}, err
-	}
-	ix, st, err := d.applyIndexDelta(prev, num, delta)
-	if err != nil {
-		return nil, st, err
-	}
-	guide := d.applyGuideDelta(prev, delta)
-	// Commit the master→epoch mapping only once every component assembled.
-	for xm, xc := range copies {
-		d.m2e[xm] = xc
-	}
-	if delta.Removed != nil {
-		delta.Removed.WalkFull(func(x *xmltree.Node) bool {
-			delete(d.m2e, x)
-			return true
-		})
-	}
-	planner := query.NewWithState(tree, num, ix, guide, nodes, depths)
-	planner.SetExecutor(d.exec)
-	planner.SetObserver(d.reg)
-	d.wireIOStats(planner)
-	return &Snapshot{
-		tree:       tree,
-		num:        num,
-		s:          num,
-		schemeName: "ruid",
-		planner:    planner,
-		nodes:      nodes,
-	}, st, nil
-}
-
-// applyIndexDelta translates the update's delta into per-name posting
-// edits and derives the next epoch's index from the previous one.
-func (d *Document) applyIndexDelta(prev *Snapshot, num *core.Numbering, delta *core.Delta) (*index.NameIndex, index.DeltaStats, error) {
-	relabeled := make(map[string]map[core.ID]core.ID)
-	for _, r := range delta.Relabels {
-		if r.Node.Kind != xmltree.Element {
-			continue
-		}
-		m := relabeled[r.Node.Name]
-		if m == nil {
-			m = make(map[core.ID]core.ID)
-			relabeled[r.Node.Name] = m
-		}
-		m[r.Old] = r.New
-	}
-	removed := make(map[string]map[core.ID]bool)
-	for _, p := range delta.Dropped {
-		if p.Node.Kind != xmltree.Element {
-			continue
-		}
-		m := removed[p.Node.Name]
-		if m == nil {
-			m = make(map[core.ID]bool)
-			removed[p.Node.Name] = m
-		}
-		m[p.ID] = true
-	}
-	inserted := make(map[string][]core.ID)
-	if delta.Inserted != nil {
-		delta.Inserted.Walk(func(x *xmltree.Node) bool {
-			if x.Kind == xmltree.Element {
-				if id, ok := d.num.RUID(x); ok {
-					inserted[x.Name] = append(inserted[x.Name], id)
-				}
-			}
-			return true
-		})
-	}
-	return prev.Index().ApplyDeltaStats(num, relabeled, removed, inserted)
-}
-
-// applyGuideDelta derives the next epoch's DataGuide from the previous
-// one and the single inserted or removed subtree.
-func (d *Document) applyGuideDelta(prev *Snapshot, delta *core.Delta) *dataguide.Guide {
-	sub, sign := delta.Inserted, +1
-	if sub == nil {
-		sub, sign = delta.Removed, -1
-	}
-	if sub == nil {
-		return prev.Guide()
-	}
-	var prefix []string
-	for p := delta.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
-		prefix = append(prefix, p.Name)
-	}
-	for i, j := 0, len(prefix)-1; i < j; i, j = i+1, j-1 {
-		prefix[i], prefix[j] = prefix[j], prefix[i]
-	}
-	if g := prev.Guide().WithUpdate(prefix, sub, sign); g != nil {
-		return g
-	}
-	// Inconsistency between guide and delta: rebuild from the master (the
-	// guide holds label paths and counts only, no node pointers, so it is
-	// safe to share with the epoch).
-	return dataguide.Build(d.master)
 }
 
 // Snapshot pins the current epoch. The returned snapshot never changes;
@@ -701,73 +560,23 @@ func (d *Document) Query(q string) ([]*xmltree.Node, query.Plan, error) {
 // document unchanged (no epoch is published) and ownership of the detached
 // child with the caller.
 func (d *Document) Insert(parentPath string, pos int, child *xmltree.Node) (scheme.UpdateStats, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readonly {
-		return scheme.UpdateStats{}, ErrColdDocument
-	}
-	parent, err := d.findOneLocked(parentPath)
-	if err != nil {
-		return scheme.UpdateStats{}, err
-	}
-	if d.num == nil {
-		upd, ok := d.gs.(scheme.Updatable)
-		if !ok {
-			return scheme.UpdateStats{}, fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		}
-		st, err := upd.InsertChild(parent, pos, child)
-		if err != nil {
-			return st, err
-		}
-		// The counters commit inside the publish call, only after the new
-		// epoch is installed: a publication failure must leave the document's
-		// statistics describing the epoch readers still see.
-		count, depths := subtreeStats(child, parent.Depth()+1)
-		return st, d.publishGenericLocked(d.nodeCount+count, d.depthSum+depths)
-	}
-	st, delta, err := d.num.InsertChildDelta(parent, pos, child)
-	if err != nil {
-		return st, err
-	}
-	count, depths := subtreeStats(child, parent.Depth()+1)
-	return st, d.publishLocked(delta, d.nodeCount+count, d.depthSum+depths)
+	return d.applyOne(&pendingOp{insert: true, parent: parentPath, pos: pos, child: child})
 }
 
 // Delete removes (cascading) the pos-th child of the first element matched
 // by parentPath and publishes a new epoch. A failed delete leaves the
 // document unchanged and publishes nothing.
 func (d *Document) Delete(parentPath string, pos int) (scheme.UpdateStats, error) {
+	return d.applyOne(&pendingOp{parent: parentPath, pos: pos})
+}
+
+// applyOne runs a synchronous mutation as a group-commit batch of one, so
+// every write publishes through the same path (applyBatchLocked).
+func (d *Document) applyOne(op *pendingOp) (scheme.UpdateStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.readonly {
-		return scheme.UpdateStats{}, ErrColdDocument
-	}
-	parent, err := d.findOneLocked(parentPath)
-	if err != nil {
-		return scheme.UpdateStats{}, err
-	}
-	if d.num == nil {
-		upd, ok := d.gs.(scheme.Updatable)
-		if !ok {
-			return scheme.UpdateStats{}, fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		}
-		if pos < 0 || pos >= len(parent.Children) {
-			return scheme.UpdateStats{}, fmt.Errorf("document: delete position %d out of range", pos)
-		}
-		removed := parent.Children[pos]
-		st, err := upd.DeleteChild(parent, pos)
-		if err != nil {
-			return st, err
-		}
-		count, depths := subtreeStats(removed, parent.Depth()+1)
-		return st, d.publishGenericLocked(d.nodeCount-count, d.depthSum-depths)
-	}
-	st, delta, err := d.num.DeleteChildDelta(parent, pos)
-	if err != nil {
-		return st, err
-	}
-	count, depths := subtreeStats(delta.Removed, parent.Depth()+1)
-	return st, d.publishLocked(delta, d.nodeCount-count, d.depthSum-depths)
+	d.applyBatchLocked([]*pendingOp{op})
+	return op.stats, op.err
 }
 
 // subtreeStats counts the non-attribute nodes of the subtree rooted at x

@@ -17,7 +17,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Group-commit write path. Epoch publication dominates the cost of a
+// Group-commit write path. Every write publishes through applyBatchLocked:
+// a synchronous Insert or Delete is a batch of one, and the commit loop
+// below hands it larger batches. Epoch publication dominates the cost of a
 // single-mutation write: the §3.2 re-enumeration touches one UID-local
 // area, but publishing it still clones the root spine, re-encodes the
 // touched posting lists and swaps the snapshot pointer. Group commit
@@ -117,8 +119,8 @@ func (t *Ticket) Done() <-chan struct{} { return t.op.done }
 // Wait blocks until the mutation is visible or ctx ends, and returns the
 // §3.2 relabeling statistics exactly as the synchronous Insert/Delete
 // would. A batch member that failed mid-merge gets its own error while the
-// rest of the batch publishes (rollback atomicity is per mutation, as in
-// the synchronous path); a publication failure fails every member.
+// rest of the batch publishes (rollback atomicity is per mutation); a
+// publication failure fails every member.
 func (t *Ticket) Wait(ctx context.Context) (scheme.UpdateStats, error) {
 	select {
 	case <-t.op.done:
@@ -160,9 +162,10 @@ type groupCommitter struct {
 // EnableGroupCommit starts the document's group-commit write path: a
 // background commit loop that coalesces queued mutations (EnqueueInsert,
 // EnqueueDelete) into batched epoch publications. Synchronous Insert and
-// Delete keep working and serialize with batches on the writer mutex, at
-// unspecified order relative to queued mutations. Fails on cold-opened
-// (read-only) documents, non-updatable schemes, and when already enabled.
+// Delete keep working as batches of one; they serialize with the loop's
+// batches on the writer mutex, at unspecified order relative to queued
+// mutations, and bypass the WAL. Fails on cold-opened (read-only)
+// documents, non-updatable schemes, and when already enabled.
 func (d *Document) EnableGroupCommit(cfg GroupConfig) error {
 	if d.readonly {
 		return ErrColdDocument
@@ -433,22 +436,11 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	if prev != nil && prev.Guide() != nil {
 		fold = prev.Guide().Begin()
 	}
-	// Writer paths resolve against the master by pointer navigation; one
-	// batch resolves each distinct parent path once. Any delete may detach
-	// a memoized parent (or an ancestor of one), so deletes flush the memo.
-	memo := make(map[string]*xmltree.Node, len(batch))
-	resolve := func(path string) (*xmltree.Node, error) {
-		if p, hit := memo[path]; hit {
-			return p, nil
-		}
-		p, err := d.findOneLocked(path)
-		if err == nil {
-			memo[path] = p
-		}
-		return p, err
-	}
+	// Each op resolves its parent path against the master as the batch has
+	// left it so far: any earlier member, insert or delete, may change which
+	// element a path matches first, exactly as between serial writes.
 	for _, op := range batch {
-		parent, err := resolve(op.parent)
+		parent, err := d.findOneLocked(op.parent)
 		if err != nil {
 			op.err = err
 			continue
@@ -472,7 +464,6 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 			c, dd := subtreeStats(delta.Removed, parent.Depth()+1)
 			nodes -= c
 			depths -= dd
-			memo = make(map[string]*xmltree.Node, len(batch))
 		}
 		deltas = append(deltas, delta)
 		// The guide update folds EAGERLY, at apply time, because the fold
@@ -480,8 +471,8 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 		// inserted, before a later batch member deletes inside it (whose own
 		// fold then subtracts exactly that part). A deferred walk would see
 		// the post-batch shape and double-subtract. The batch fold shares
-		// ONE guide copy across the whole run — the per-mutation WithUpdate
-		// clone is what group commit amortizes away.
+		// ONE guide copy across the whole run — a per-mutation guide clone
+		// is what group commit amortizes away.
 		foldGuideUpdate(fold, delta)
 		op.rc.Stamp(obs.StageMerged)
 		applied = append(applied, op)
@@ -543,19 +534,8 @@ func (d *Document) applyBatchGenericLocked(batch []*pendingOp) int {
 	}
 	var applied []*pendingOp
 	nodes, depths := d.nodeCount, d.depthSum
-	memo := make(map[string]*xmltree.Node, len(batch))
-	resolve := func(path string) (*xmltree.Node, error) {
-		if p, hit := memo[path]; hit {
-			return p, nil
-		}
-		p, err := d.findOneLocked(path)
-		if err == nil {
-			memo[path] = p
-		}
-		return p, err
-	}
 	for _, op := range batch {
-		parent, err := resolve(op.parent)
+		parent, err := d.findOneLocked(op.parent)
 		if err != nil {
 			op.err = err
 			continue
@@ -583,7 +563,6 @@ func (d *Document) applyBatchGenericLocked(batch []*pendingOp) int {
 			c, dd := subtreeStats(removed, parent.Depth()+1)
 			nodes -= c
 			depths -= dd
-			memo = make(map[string]*xmltree.Node, len(batch))
 		}
 		op.rc.Stamp(obs.StageMerged)
 		applied = append(applied, op)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // groupFixture builds a document with small areas so batches cross area
@@ -49,6 +50,18 @@ func scriptedBatch() []batchMutation {
 		{parent: "/book", pos: 1}, // ... and remove it again
 		{insert: true, parent: "/book/section", pos: 2, xml: "<w4/>"},
 		{parent: "/book/section/section/section", pos: 0}, // delete the just-inserted w3
+	}
+}
+
+// reresolveBatch changes which element a parent path matches first in the
+// middle of a batch: the second insert puts a new first /book/section in
+// front of the one the first insert resolved, so the third insert must
+// land in the new section, as it does between serial writes.
+func reresolveBatch() []batchMutation {
+	return []batchMutation{
+		{insert: true, parent: "/book/section", pos: 0, xml: "<x/>"},
+		{insert: true, parent: "/book", pos: 0, xml: "<section/>"},
+		{insert: true, parent: "/book/section", pos: 0, xml: "<y/>"},
 	}
 }
 
@@ -94,7 +107,9 @@ func enqueueAll(t *testing.T, d *Document, muts []batchMutation) []*Ticket {
 
 // assertDocsEqual compares two documents' current epochs byte for byte:
 // serialized tree, numbering stamps node by node, stats and a set of probe
-// queries.
+// queries. Each probe answer is also checked against the pointer-navigator
+// reference on its own epoch's tree, so the comparison does not rest on
+// both documents sharing the write path.
 func assertDocsEqual(t *testing.T, got, want *Document) {
 	t.Helper()
 	gs, ws := got.Snapshot(), want.Snapshot()
@@ -115,12 +130,14 @@ func assertDocsEqual(t *testing.T, got, want *Document) {
 	if g.Nodes != w.Nodes || g.Areas != w.Areas || g.Names != w.Names {
 		t.Fatalf("stats diverge: got %+v want %+v", g, w)
 	}
-	for _, q := range []string{"//section", "//title", "//w1", "//w4", "//ephemeral", "/book/section//para"} {
+	for _, q := range probeQueries {
 		gr, _, gerr := gs.Query(q)
 		wr, _, werr := ws.Query(q)
 		if (gerr != nil) != (werr != nil) {
 			t.Fatalf("%s: errors diverge: %v vs %v", q, gerr, werr)
 		}
+		assertMatchesOracle(t, gs, q, gr)
+		assertMatchesOracle(t, ws, q, wr)
 		if len(gr) != len(wr) {
 			t.Fatalf("%s: %d results, want %d", q, len(gr), len(wr))
 		}
@@ -132,36 +149,66 @@ func assertDocsEqual(t *testing.T, got, want *Document) {
 	}
 }
 
+var probeQueries = []string{"//section", "//title", "//w1", "//w4", "//ephemeral", "/book/section//para", "/book/section/y"}
+
+// assertMatchesOracle checks snapshot s's answer got to q against the
+// pointer-navigator reference evaluated on the same epoch's tree. Both
+// return document order, so the comparison is positional.
+func assertMatchesOracle(t *testing.T, s *Snapshot, q string, got []*xmltree.Node) {
+	t.Helper()
+	want, err := xpath.NewEngine(s.Tree(), xpath.PointerNavigator{}).Query(q)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", q, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: epoch %d answers %d nodes, oracle %d", q, s.Epoch(), len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d]: epoch %d answers %s, oracle %s", q, i, s.Epoch(), got[i].Name, want[i].Name)
+		}
+	}
+}
+
 // TestGroupCommitEquivalence: one coalesced batch must leave the document
 // byte-identical to the serial per-mutation oracle — and must publish ONE
 // epoch for the whole batch.
 func TestGroupCommitEquivalence(t *testing.T) {
-	grouped, serial := groupFixture(t), groupFixture(t)
-	muts := scriptedBatch()
-	applySerial(t, serial, muts)
+	for _, tc := range []struct {
+		name string
+		muts []batchMutation
+	}{
+		{"mixed", scriptedBatch()},
+		{"reresolve", reresolveBatch()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			grouped, serial := groupFixture(t), groupFixture(t)
+			applySerial(t, serial, tc.muts)
 
-	// A long linger guarantees the sequentially enqueued ops coalesce.
-	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: 64, MaxDelay: 200 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	defer grouped.Close()
-	before := grouped.Snapshot().Epoch()
-	tickets := enqueueAll(t, grouped, muts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range tickets {
-		if _, err := tk.Wait(ctx); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if got := grouped.Snapshot().Epoch(); got != before+1 {
-		t.Fatalf("batch published %d epochs, want 1", got-before)
-	}
-	assertDocsEqual(t, grouped, serial)
+			// A long linger guarantees the sequentially enqueued ops coalesce.
+			if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: 64, MaxDelay: 200 * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+			defer grouped.Close()
+			before := grouped.Snapshot().Epoch()
+			tickets := enqueueAll(t, grouped, tc.muts)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i, tk := range tickets {
+				if _, err := tk.Wait(ctx); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+			if got := grouped.Snapshot().Epoch(); got != before+1 {
+				t.Fatalf("batch published %d epochs, want 1", got-before)
+			}
+			assertDocsEqual(t, grouped, serial)
 
-	// No trace of the insert-then-delete pair.
-	if res, _, err := grouped.Query("//ephemeral"); err != nil || len(res) != 0 {
-		t.Fatalf("ephemeral survived: %v %v", res, err)
+			// No trace of the insert-then-delete pair.
+			if res, _, err := grouped.Query("//ephemeral"); err != nil || len(res) != 0 {
+				t.Fatalf("ephemeral survived: %v %v", res, err)
+			}
+		})
 	}
 }
 

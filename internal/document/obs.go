@@ -25,9 +25,10 @@ type docMetrics struct {
 	// superseded epoch's snapshot becomes unreachable.
 	epochsLive *obs.Gauge
 
-	publishFull *obs.Counter
-	publishIncr *obs.Counter
-	publishNS   *obs.Histogram
+	publishFull     *obs.Counter
+	publishIncr     *obs.Counter
+	publishFallback *obs.Counter // full clones forced by a failed incremental assembly
+	publishNS       *obs.Histogram
 
 	// ApplyDelta scope: how much of the index updates re-encode versus
 	// share (the paper's update-scope claim, measured per publication).
@@ -41,24 +42,35 @@ func newDocMetrics(r *obs.Registry) *docMetrics {
 		return nil
 	}
 	return &docMetrics{
-		epoch:         r.Gauge("doc.epoch"),
-		nodes:         r.Gauge("doc.nodes"),
-		areas:         r.Gauge("doc.areas"),
-		names:         r.Gauge("doc.names"),
-		postingsBytes: r.Gauge("doc.postings_bytes"),
-		epochsLive:    r.Gauge("doc.epochs_live"),
-		publishFull:   r.Counter("doc.publish_full"),
-		publishIncr:   r.Counter("doc.publish_incremental"),
-		publishNS:     r.Histogram("doc.publish_ns"),
-		namesTouched:  r.Counter("index.delta_names_touched"),
-		namesShared:   r.Counter("index.delta_names_shared"),
-		postingsReenc: r.Counter("index.delta_postings_reencoded"),
+		epoch:           r.Gauge("doc.epoch"),
+		nodes:           r.Gauge("doc.nodes"),
+		areas:           r.Gauge("doc.areas"),
+		names:           r.Gauge("doc.names"),
+		postingsBytes:   r.Gauge("doc.postings_bytes"),
+		epochsLive:      r.Gauge("doc.epochs_live"),
+		publishFull:     r.Counter("doc.publish_full"),
+		publishIncr:     r.Counter("doc.publish_incremental"),
+		publishFallback: r.Counter("doc.publish_fallback"),
+		publishNS:       r.Histogram("doc.publish_ns"),
+		namesTouched:    r.Counter("index.delta_names_touched"),
+		namesShared:     r.Counter("index.delta_names_shared"),
+		postingsReenc:   r.Counter("index.delta_postings_reencoded"),
 	}
 }
 
+// publishKind names the doc.publish_* counter a publication is recorded
+// under.
+type publishKind int
+
+const (
+	publishIncremental publishKind = iota
+	publishFull                    // initial open, generic schemes, overflow healing
+	publishFallback                // full clone after incremental assembly failed
+)
+
 // noteEpochLocked refreshes the epoch gauges and publication counters after
 // a successful publication. Callers hold d.mu.
-func (d *Document) noteEpochLocked(full bool, st index.DeltaStats, dur time.Duration) {
+func (d *Document) noteEpochLocked(kind publishKind, st index.DeltaStats, dur time.Duration) {
 	if d.dm == nil {
 		return
 	}
@@ -72,9 +84,12 @@ func (d *Document) noteEpochLocked(full bool, st index.DeltaStats, dur time.Dura
 	}
 	d.dm.names.Set(int64(len(s.Index().Names())))
 	d.dm.postingsBytes.Set(int64(s.Index().PostingsSizeBytes()))
-	if full {
+	switch kind {
+	case publishFull:
 		d.dm.publishFull.Inc()
-	} else {
+	case publishFallback:
+		d.dm.publishFallback.Inc()
+	default:
 		d.dm.publishIncr.Inc()
 		d.dm.namesTouched.Add(uint64(st.NamesTouched))
 		d.dm.namesShared.Add(uint64(st.NamesShared))
